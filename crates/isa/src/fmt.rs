@@ -186,11 +186,13 @@ impl FpFmt {
     }
 
     /// The soft-float [`Format`] descriptor.
+    #[inline]
     pub fn format(self) -> Format {
         self.desc().format
     }
 
     /// Storage width in bits.
+    #[inline]
     pub fn width(self) -> u32 {
         self.format().width()
     }

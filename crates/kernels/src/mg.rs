@@ -8,7 +8,7 @@
 
 use smallfloat_asm::Assembler;
 use smallfloat_isa::{BranchCond, FReg, FpFmt, XReg};
-use smallfloat_softfp::{ops, Env, Rounding};
+use smallfloat_softfp::{fast, Env, Rounding};
 use smallfloat_xcc::codegen::{layout_of, Compiled, DataLayout};
 use smallfloat_xcc::ir::Kernel;
 
@@ -77,7 +77,7 @@ impl Mg {
     /// Materialize a constant at the kernel format.
     pub fn fmt_const(&mut self, dst: FReg, v: f64) {
         let mut env = Env::new(Rounding::Rne);
-        let bits = ops::from_f64(self.fmt.format(), v, &mut env) as u32;
+        let bits = fast::from_f64(self.fmt.format(), v, &mut env) as u32;
         self.asm.li(T0, bits as i32);
         self.asm.fmv_f(self.fmt, dst, T0);
     }

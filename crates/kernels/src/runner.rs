@@ -5,7 +5,7 @@ use smallfloat_sim::{
     hot_block_report, Cpu, CpuSnapshot, ExitReason, HotBlock, MemLevel, SimConfig, Stats,
     TraceStats,
 };
-use smallfloat_softfp::{ops, Env, Rounding};
+use smallfloat_softfp::{fast, Env, Rounding};
 use smallfloat_xcc::codegen::{Compiled, TEXT_BASE};
 use smallfloat_xcc::ir::Kernel;
 use std::cell::RefCell;
@@ -103,9 +103,10 @@ impl RunResult {
     }
 }
 
-/// Load `compiled` plus its input data into a freshly-reset CPU (reused
-/// per thread across calls), run to completion, and read back every array
-/// and scalar (`kernel` supplies the scalar storage types).
+/// Fork a CPU warmed on `compiled` from the per-thread pool (training a
+/// slot from reset on a miss), write the input data, run to completion,
+/// and read back every array and scalar (`kernel` supplies the scalar
+/// storage types).
 ///
 /// Inputs are given in `f64` and rounded into each array's storage type —
 /// the same quantization the real system applies when data enters memory in
@@ -189,20 +190,9 @@ pub fn run_compiled(
 ///
 /// Panics on an unknown input name or a size mismatch.
 fn write_inputs(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) {
-    let mut env = Env::new(Rounding::Rne);
     for (name, values) in inputs {
-        let entry = compiled
-            .layout
-            .entry(name)
-            .unwrap_or_else(|| panic!("input `{name}` is not a kernel array"));
-        assert_eq!(entry.len, values.len(), "input size mismatch for `{name}`");
-        let bytes = entry.ty.width() / 8;
-        let mut raw = Vec::with_capacity(entry.len * bytes as usize);
-        for v in values {
-            let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
-            raw.extend_from_slice(&bits.to_le_bytes()[..bytes as usize]);
-        }
-        cpu.write_data(entry.addr, &raw);
+        let (addr, raw) = quantize_array(compiled, name, values);
+        cpu.write_data(addr, &raw);
     }
 }
 
@@ -250,12 +240,13 @@ pub fn quantize_array(compiled: &Compiled, name: &str, values: &[f64]) -> (u32, 
         .entry(name)
         .unwrap_or_else(|| panic!("`{name}` is not a kernel array"));
     assert_eq!(entry.len, values.len(), "size mismatch for `{name}`");
-    let bytes = entry.ty.width() / 8;
+    let fmt = entry.ty.format();
+    let bytes = (entry.ty.width() / 8) as usize;
     let mut env = Env::new(Rounding::Rne);
-    let mut raw = Vec::with_capacity(entry.len * bytes as usize);
+    let mut raw = Vec::with_capacity(entry.len * bytes);
     for v in values {
-        let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
-        raw.extend_from_slice(&bits.to_le_bytes()[..bytes as usize]);
+        let bits = fast::from_f64(fmt, *v, &mut env) as u32;
+        raw.extend_from_slice(&bits.to_le_bytes()[..bytes]);
     }
     (entry.addr, raw)
 }
@@ -271,6 +262,7 @@ pub fn decode_array(compiled: &Compiled, name: &str, bytes: &[u8]) -> Vec<f64> {
         .layout
         .entry(name)
         .unwrap_or_else(|| panic!("`{name}` is not a kernel array"));
+    let fmt = entry.ty.format();
     let width = (entry.ty.width() / 8) as usize;
     assert_eq!(
         bytes.len(),
@@ -282,7 +274,7 @@ pub fn decode_array(compiled: &Compiled, name: &str, bytes: &[u8]) -> Vec<f64> {
         .map(|c| {
             let mut raw = [0u8; 4];
             raw[..width].copy_from_slice(c);
-            ops::to_f64(entry.ty.format(), u32::from_le_bytes(raw) as u64)
+            fast::to_f64(fmt, u32::from_le_bytes(raw) as u64)
         })
         .collect()
 }
@@ -317,22 +309,18 @@ fn finish_run(cpu: &mut Cpu, kernel: &Kernel, compiled: &Compiled) -> RunResult 
 
     let mut arrays = HashMap::new();
     for entry in &compiled.layout.entries {
-        let bytes = entry.ty.width() / 8;
-        let mut vals = Vec::with_capacity(entry.len);
-        for i in 0..entry.len {
-            let raw = cpu
-                .mem()
-                .load(entry.addr + (i as u32) * bytes, bytes)
-                .expect("in range");
-            vals.push(ops::to_f64(entry.ty.format(), raw as u64));
-        }
+        let (addr, len) = array_span(compiled, &entry.name);
+        let vals = decode_array(compiled, &entry.name, &cpu.mem().read_bytes(addr, len));
         arrays.insert(entry.name.clone(), vals);
     }
     let mut scalars = HashMap::new();
     for (name, reg) in &compiled.scalar_regs {
-        let ty = kernel.type_of(name).unwrap_or(smallfloat_isa::FpFmt::S);
-        let raw = cpu.freg(*reg) as u64 & ty.format().mask();
-        scalars.insert(name.clone(), ops::to_f64(ty.format(), raw));
+        let fmt = kernel
+            .type_of(name)
+            .unwrap_or(smallfloat_isa::FpFmt::S)
+            .format();
+        let raw = cpu.freg(*reg) as u64 & fmt.mask();
+        scalars.insert(name.clone(), fast::to_f64(fmt, raw));
     }
     RunResult {
         stats: cpu.stats().clone(),

@@ -328,11 +328,13 @@ impl Cpu {
     }
 
     /// Read an FP register (raw 32 bits).
+    #[inline]
     pub fn freg(&self, r: FReg) -> u32 {
         self.f[usize::from(r)]
     }
 
     /// Write an FP register (raw 32 bits).
+    #[inline]
     pub fn set_freg(&mut self, r: FReg, v: u32) {
         self.f[usize::from(r)] = v;
     }
@@ -353,6 +355,7 @@ impl Cpu {
     }
 
     /// The dynamic rounding mode, if `fcsr.frm` holds a valid value.
+    #[inline]
     pub fn frm(&self) -> Option<Rounding> {
         Rounding::from_frm(self.frm_raw)
     }

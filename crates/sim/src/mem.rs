@@ -107,6 +107,7 @@ impl Memory {
         self.generation += 1;
     }
 
+    #[inline]
     fn check(&self, addr: u32, len: u32) -> Result<usize, SimError> {
         let a = addr as usize;
         if len > 1 && !addr.is_multiple_of(len) {
@@ -143,6 +144,7 @@ impl Memory {
     ///
     /// [`SimError::Misaligned`] for unaligned accesses,
     /// [`SimError::OutOfBounds`] past the end of memory.
+    #[inline]
     pub fn load(&self, addr: u32, len: u32) -> Result<u32, SimError> {
         let a = self.check(addr, len)?;
         let page = self.page(a);
@@ -160,6 +162,7 @@ impl Memory {
     /// # Errors
     ///
     /// Same conditions as [`Memory::load`].
+    #[inline]
     pub fn store(&mut self, addr: u32, len: u32, value: u32) -> Result<(), SimError> {
         let a = self.check(addr, len)?;
         let page = self.page_mut(a);

@@ -17,12 +17,17 @@
 //! static call, so the branch predictor sees one stable target per call
 //! site in format-homogeneous loops (the simulator's common case).
 //!
+//! The host-`f64` boundary ([`to_f64`], [`from_f64`]), which kernel
+//! launches cross to quantize inputs and read results back, dispatches the
+//! same way: each paper format to the monomorphized conversion kernel with
+//! binary64 as its source or destination.
+//!
 //! Equivalence with the reference is enforced by the differential suites:
 //! exhaustively for binary8 (`tests/fastpath_b8_exhaustive.rs`) and for
-//! 16-bit unary ops, sampled with replayable seeds otherwise
-//! (`tests/fastpath_sampled.rs`).
+//! 16-bit unary ops and every 8/16-bit `to_f64`, sampled with replayable
+//! seeds otherwise (`tests/fastpath_sampled.rs`).
 
-use crate::env::Env;
+use crate::env::{Env, Rounding};
 use crate::format::Format;
 use crate::kernels as k;
 use crate::ops;
@@ -305,10 +310,55 @@ pub fn cvt_f_f(dst: Format, src: Format, bits: u64, env: &mut Env) -> u64 {
     }
 }
 
+/// Fast-path widening to a host `f64` (see [`ops::to_f64`]).
+///
+/// The five paper formats go through the monomorphized `(E, M) → binary64`
+/// conversion kernel; anything else falls back to the reference. Widening
+/// is exact, so the rounding mode is irrelevant and no flag escapes.
+#[inline]
+pub fn to_f64(fmt: Format, bits: u64) -> f64 {
+    let mut env = Env::new(Rounding::Rne);
+    let wide = if fmt == Format::BINARY8 {
+        k::cvt::<5, 2, 11, 52>(bits, &mut env)
+    } else if fmt == Format::BINARY8ALT {
+        k::cvt::<4, 3, 11, 52>(bits, &mut env)
+    } else if fmt == Format::BINARY16 {
+        k::cvt::<5, 10, 11, 52>(bits, &mut env)
+    } else if fmt == Format::BINARY16ALT {
+        k::cvt::<8, 7, 11, 52>(bits, &mut env)
+    } else if fmt == Format::BINARY32 {
+        k::cvt::<8, 23, 11, 52>(bits, &mut env)
+    } else {
+        return ops::to_f64(fmt, bits);
+    };
+    f64::from_bits(wide)
+}
+
+/// Fast-path rounding of a host `f64` into `fmt` (see [`ops::from_f64`]):
+/// the monomorphized `binary64 → (E, M)` conversion kernel for the five
+/// paper formats, the reference for anything else.
+#[inline]
+pub fn from_f64(fmt: Format, v: f64, env: &mut Env) -> u64 {
+    let bits = v.to_bits();
+    if fmt == Format::BINARY8 {
+        k::cvt::<11, 52, 5, 2>(bits, env)
+    } else if fmt == Format::BINARY8ALT {
+        k::cvt::<11, 52, 4, 3>(bits, env)
+    } else if fmt == Format::BINARY16 {
+        k::cvt::<11, 52, 5, 10>(bits, env)
+    } else if fmt == Format::BINARY16ALT {
+        k::cvt::<11, 52, 8, 7>(bits, env)
+    } else if fmt == Format::BINARY32 {
+        k::cvt::<11, 52, 8, 23>(bits, env)
+    } else {
+        ops::from_f64(fmt, v, env)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{Flags, Rounding};
+    use crate::env::Flags;
 
     #[test]
     fn dispatch_covers_all_concrete_formats() {
@@ -367,6 +417,24 @@ mod tests {
                         assert_eq!(e1.flags, e2.flags);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn f64_boundary_falls_back_for_other_layouts() {
+        let custom = Format::new(6, 9).unwrap();
+        for fmt in [Format::BINARY64, custom] {
+            for v in [0.1f64, -3.5e300, f64::NAN, 1e-310] {
+                let mut e1 = Env::new(Rounding::Rup);
+                let mut e2 = Env::new(Rounding::Rup);
+                let bits = from_f64(fmt, v, &mut e1);
+                assert_eq!(bits, ops::from_f64(fmt, v, &mut e2));
+                assert_eq!(e1.flags, e2.flags);
+                assert_eq!(
+                    to_f64(fmt, bits).to_bits(),
+                    ops::to_f64(fmt, bits).to_bits()
+                );
             }
         }
     }

@@ -90,6 +90,7 @@ impl Format {
     }
 
     /// Total storage width in bits (1 + exponent + mantissa).
+    #[inline]
     pub fn width(self) -> u32 {
         1 + self.exp_bits + self.man_bits
     }
@@ -110,6 +111,7 @@ impl Format {
     }
 
     /// Bit mask covering the full storage width.
+    #[inline]
     pub fn mask(self) -> u64 {
         if self.width() == 64 {
             u64::MAX
@@ -136,6 +138,7 @@ impl Format {
     /// The canonical quiet NaN: positive sign, all-ones exponent, MSB of the
     /// mantissa set and all other mantissa bits clear (RISC-V's canonical
     /// NaN, e.g. `0x7fc00000` for binary32).
+    #[inline]
     pub fn quiet_nan(self) -> u64 {
         (self.exp_field_max() << self.man_bits) | (1u64 << (self.man_bits - 1))
     }

@@ -18,9 +18,12 @@
 //! and flag-identical to it (exhaustively for binary8 and for 16-bit unary
 //! ops, sampled with replayable seeds for 16/32-bit binary ops).
 //!
-//! Instantiations are only valid for `M <= 23` and `E <= 11` (the `u64`
-//! headroom arguments above assume it); the dispatch layer in
-//! [`crate::fast`] only ever instantiates the four paper formats.
+//! Arithmetic instantiations are only valid for `M <= 23` and `E <= 11`
+//! (the `u64` headroom arguments above assume it); the dispatch layer in
+//! [`crate::fast`] only instantiates them for the five paper formats.
+//! Binary64 (`E = 11`, `M = 52`) is allowed only as the source or the
+//! destination of [`cvt`]: a conversion carries one significand of at most
+//! 53 bits and never multiplies, so the headroom argument does not apply.
 
 use crate::env::{Env, Flags, Rounding};
 
@@ -35,7 +38,8 @@ fn width<const E: u32, const M: u32>() -> u32 {
 
 #[inline(always)]
 fn mask<const E: u32, const M: u32>() -> u64 {
-    (1u64 << width::<E, M>()) - 1
+    // A plain `(1 << width) - 1` overflows for binary64 (width 64).
+    u64::MAX >> (64 - width::<E, M>())
 }
 
 #[inline(always)]
@@ -910,6 +914,9 @@ mod tests {
         assert_eq!(max_finite::<B16E, B16M>(false), f.max_finite(false));
         assert_eq!(bias::<B16E>(), f.bias());
         assert_eq!(emin::<B16E>(), f.emin());
+        // binary64 is a legal `cvt` endpoint, so its full-width mask must
+        // not overflow.
+        assert_eq!(mask::<11, 52>(), Format::BINARY64.mask());
     }
 
     #[test]

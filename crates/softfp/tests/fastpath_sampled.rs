@@ -12,9 +12,15 @@
 //! Unary ops (sqrt, classify, conversions) over the 16-bit formats *are*
 //! enumerable — all 65536 encodings are swept exhaustively, every rounding
 //! mode, results and flags.
+//!
+//! The host-`f64` boundary (`fast::to_f64` / `fast::from_f64`, the
+//! conversions every kernel launch runs on its inputs and outputs) is
+//! checked the same way: widening exhaustively from every 8- and 16-bit
+//! encoding and sampled from binary32; rounding from raw binary64 patterns
+//! into all five paper formats under every rounding mode.
 
 use smallfloat_devtools::prop;
-use smallfloat_softfp::{fast, ops, Env, Format, Rounding};
+use smallfloat_softfp::{fast, ops, Env, Flags, Format, Rounding};
 
 /// Cases per (op, format): ≥1M in release, smoke-sized in debug builds.
 const N: u64 = if cfg!(debug_assertions) {
@@ -266,4 +272,118 @@ fn exhaustive_16bit_cvt_all_encodings_all_rounding_modes() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Host-f64 boundary: fast::to_f64 / fast::from_f64 vs the reference.
+// ---------------------------------------------------------------------------
+
+/// The five paper formats, the ones `fast` routes to monomorphized kernels.
+const PAPER_FMTS: [Format; 5] = [
+    Format::BINARY8,
+    Format::BINARY8ALT,
+    Format::BINARY16,
+    Format::BINARY16ALT,
+    Format::BINARY32,
+];
+
+fn check_to_f64(fmt: Format, bits: u64) {
+    assert_eq!(
+        fast::to_f64(fmt, bits).to_bits(),
+        ops::to_f64(fmt, bits).to_bits(),
+        "to_f64<{}>({bits:#x})",
+        fmt.name()
+    );
+}
+
+#[test]
+fn f64_boundary_widening_exhaustive_8_and_16_bit() {
+    for fmt in [Format::BINARY8, Format::BINARY8ALT] {
+        for bits in 0..=0xffu64 {
+            check_to_f64(fmt, bits);
+        }
+    }
+    for fmt in [Format::BINARY16, Format::BINARY16ALT] {
+        for bits in 0..=0xffffu64 {
+            check_to_f64(fmt, bits);
+        }
+    }
+}
+
+#[test]
+fn f64_boundary_widening_sampled_binary32() {
+    prop::cases("fastpath_to_f64_binary32", N, |rng| {
+        check_to_f64(Format::BINARY32, draw(rng, Format::BINARY32));
+    });
+}
+
+/// A raw binary64 pattern aimed at `fmt`: mostly values whose exponent
+/// lands in or just outside `fmt`'s range (normal, subnormal, overflow
+/// and total-underflow edges), half of them with the mantissa cut just
+/// below `fmt`'s guard bit so exact and tie cases are common; the rest
+/// uniform raw patterns and specials (±0, ±inf, quiet and signaling NaNs
+/// with random payloads, binary64 subnormals).
+fn draw_f64(rng: &mut smallfloat_devtools::Rng, fmt: Format) -> u64 {
+    const SIGN: u64 = 1 << 63;
+    const EXP: u64 = 0x7ff << 52;
+    const MAN: u64 = (1 << 52) - 1;
+    let sign = rng.u64() & SIGN;
+    match rng.below(8) {
+        0 => rng.u64(),
+        1 => match rng.below(5) {
+            0 => sign,
+            1 => sign | EXP,
+            2 => sign | EXP | (1 << 51) | (rng.u64() & (MAN >> 1)),
+            3 => sign | EXP | ((rng.u64() & (MAN >> 1)) | 1),
+            _ => sign | (rng.u64() & MAN),
+        },
+        _ => {
+            let lo = fmt.emin() - fmt.man_bits() as i32 - 3;
+            let hi = fmt.emax() + 2;
+            let e = rng.range_i32(lo, hi + 1);
+            let mut man = rng.u64() & MAN;
+            if rng.below(2) == 0 {
+                // Keep the bits the format holds plus a guard and one more,
+                // zero the rest: exact, halfway and just-off-halfway values.
+                man &= !(MAN >> (fmt.man_bits() + 2));
+            }
+            sign | (((e + 1023) as u64) << 52) | man
+        }
+    }
+}
+
+#[test]
+fn f64_boundary_rounding_sampled_all_formats_all_modes() {
+    for fmt in PAPER_FMTS {
+        for rm in Rounding::ALL {
+            prop::cases(
+                &format!("fastpath_from_f64_{}_{rm}", fmt.name()),
+                N,
+                |rng| {
+                    let v = f64::from_bits(draw_f64(rng, fmt));
+                    let mut ef = Env::new(rm);
+                    let mut er = Env::new(rm);
+                    let vf = fast::from_f64(fmt, v, &mut ef);
+                    let vr = ops::from_f64(fmt, v, &mut er);
+                    assert_eq!(
+                        (vf, ef.flags),
+                        (vr, er.flags),
+                        "from_f64<{}>({:#x}) rm={rm}",
+                        fmt.name(),
+                        v.to_bits()
+                    );
+                },
+            );
+        }
+    }
+}
+
+#[test]
+fn f64_boundary_narrowing_from_huge_values_rounds_and_flags() {
+    // Binary64 is a cvt source here, so the kernel's full-width mask must
+    // hold: 1.3e16 overflows binary8 (max 57344) and RTZ clamps it to the
+    // largest finite value with OF|NX, never to +0.
+    let mut env = Env::new(Rounding::Rtz);
+    assert_eq!(fast::from_f64(Format::BINARY8, 1.3e16, &mut env), 0x7b);
+    assert_eq!(env.flags, Flags::OF | Flags::NX);
 }

@@ -15,10 +15,10 @@ use smallfloat_devtools::bench::Harness;
 use smallfloat_isa::{BranchCond, FReg, FpFmt, XReg};
 use smallfloat_kernels::bench::{build, Precision, VecMode, Workload};
 use smallfloat_kernels::polybench::Gemm;
+use smallfloat_kernels::runner::load_workload;
 use smallfloat_nn::{infer_sim, uniform_assignment};
 use smallfloat_sim::{set_trace_override, Cpu, MemLevel, SimConfig};
-use smallfloat_softfp::{ops, Env, Rounding};
-use smallfloat_xcc::codegen::{Compiled, TEXT_BASE};
+use smallfloat_xcc::codegen::Compiled;
 
 // High enough that each timed run is dominated by steady-state loop
 // execution rather than per-run fixed costs (reset, program load, trace
@@ -191,18 +191,7 @@ fn run_asm(cpu: &mut Cpu, program: &[smallfloat_isa::Instr]) -> u64 {
 
 fn run_kernel(cpu: &mut Cpu, compiled: &Compiled, inputs: &[(String, Vec<f64>)]) -> u64 {
     cpu.reset();
-    let mut env = Env::new(Rounding::Rne);
-    for (name, values) in inputs {
-        let entry = compiled.layout.entry(name).expect("kernel array");
-        let bytes = entry.ty.width() / 8;
-        for (i, v) in values.iter().enumerate() {
-            let bits = ops::from_f64(entry.ty.format(), *v, &mut env) as u32;
-            let le = bits.to_le_bytes();
-            cpu.mem_mut()
-                .write_bytes(entry.addr + (i as u32) * bytes, &le[..bytes as usize]);
-        }
-    }
-    cpu.load_program(TEXT_BASE, &compiled.program);
+    load_workload(cpu, compiled, inputs);
     cpu.run(200_000_000).expect("terminates");
     cpu.stats().instret
 }

@@ -9,7 +9,12 @@
 //!    conversions (an O(1) load replaces the whole unpack/round pipeline);
 //! 2. **binary16 / binary16alt / binary32** (and the remaining 8-bit
 //!    ops, e.g. fused multiply-add) → the monomorphized `u64` kernels of
-//!    `crate::kernels`, where every format constant has been folded;
+//!    `crate::kernels`, where every format constant has been folded. Their
+//!    add/sub/mul/FMA first try an exact host-binary64 tier (exact products,
+//!    one host sum with its TwoSum error, one rounding into the format) and
+//!    fall back to the integer kernels for infinity/NaN operands, zero sums,
+//!    subnormal or overflowing results and values just below a grid point
+//!    (see the `kernels` module docs for the exactness argument);
 //! 3. **anything else** (binary64, custom layouts) → the generic
 //!    runtime-`Format` reference in [`crate::ops`].
 //!
@@ -25,7 +30,9 @@
 //! Equivalence with the reference is enforced by the differential suites:
 //! exhaustively for binary8 (`tests/fastpath_b8_exhaustive.rs`) and for
 //! 16-bit unary ops and every 8/16-bit `to_f64`, sampled with replayable
-//! seeds otherwise (`tests/fastpath_sampled.rs`).
+//! seeds otherwise (`tests/fastpath_sampled.rs`), and with operands built to
+//! reach the host tier's ties, cancellations and range edges in all five
+//! formats (`tests/fastpath_boundary.rs`).
 
 use crate::env::{Env, Rounding};
 use crate::format::Format;

@@ -1,8 +1,9 @@
 //! Monomorphized fast-path kernels for the concrete small formats.
 //!
 //! These are const-generic copies of the algorithms in [`crate::ops`],
-//! instantiated once per format (`binary8`, `binary16`, `binary16alt`,
-//! `binary32`). Two things make them faster than the generic reference:
+//! instantiated once per format (`binary8`, `binary8alt`, `binary16`,
+//! `binary16alt`, `binary32`). Three things make them faster than the
+//! generic reference:
 //!
 //! * every [`crate::Format`] quantity — masks, field widths, bias, guard
 //!   shifts — is a compile-time constant per instantiation, so the field
@@ -10,17 +11,45 @@
 //! * significands are carried in `u64` instead of `u128`: with at most 23
 //!   mantissa bits, products (≤48 bits), quotients (≤51 bits) and exactly
 //!   aligned FMA sums (<2^63, see [`fma`]) all fit, avoiding 128-bit shifts
-//!   and the `u128` division libcall.
+//!   and the `u128` division libcall;
+//! * [`add`]/[`sub`], [`mul`] and [`fma`] first try a **host-binary64
+//!   tier** that lets the host FPU do the arithmetic and keeps only one
+//!   rounding in integer code.
+//!
+//! # Host-binary64 tier
+//!
+//! Every finite operand converts exactly to an `f64` (subnormals through one
+//! power-of-two scale). With at most 24 significant bits per operand
+//! (`M <= 23`) and at most 8 exponent bits, a product is exact in binary64
+//! and stays far inside its normal range, so `mul` is one host multiply.
+//! `add` and `fma` compute one host sum `s = p + z` whose rounding error
+//! `err` is exact by Knuth's TwoSum (`p + z == s + err`, `|err| <= ulp(s)/2`).
+//! `s` is then rounded once into the target: if its `52 - M` dropped bits
+//! are neither zero nor exactly half, the exact value lies strictly between
+//! the same target grid point and midpoint as `s`, so the result and `NX`
+//! follow from `s` alone. Only on a grid point or a midpoint is `err`
+//! computed, and its sign says whether the exact value sits just above or
+//! just below. The tier returns `None` — and the integer code below runs
+//! unchanged — for an infinity or NaN operand, for `s == 0` (the sign of an
+//! exact zero depends on the rounding mode), for a result that is subnormal
+//! or overflows after rounding (the only cases that raise `UF`/`OF`), and
+//! for an exact value just below a grid point `s` in magnitude. The
+//! argument needs the host's binary64 to round to nearest-even without
+//! flushing subnormals; `tests/fastpath_boundary.rs` pins both.
 //!
 //! The generic functions in [`crate::ops`] remain the reference
 //! implementation and the fallback for exotic layouts; the differential
 //! suites in `crates/softfp/tests/fastpath_*.rs` prove these kernels bit-
 //! and flag-identical to it (exhaustively for binary8 and for 16-bit unary
-//! ops, sampled with replayable seeds for 16/32-bit binary ops).
+//! ops, sampled with replayable seeds for 16/32-bit binary ops, and with
+//! operands built to hit the host tier's ties, cancellations and range
+//! edges in all five formats).
 //!
 //! Arithmetic instantiations are only valid for `M <= 23` and `E <= 11`
-//! (the `u64` headroom arguments above assume it); the dispatch layer in
-//! [`crate::fast`] only instantiates them for the five paper formats.
+//! (the `u64` headroom arguments above assume it), and those of the
+//! host-tier ops for `E <= 8` (asserted at compile time); the dispatch
+//! layer in [`crate::fast`] only instantiates them for the five paper
+//! formats.
 //! Binary64 (`E = 11`, `M = 52`) is allowed only as the source or the
 //! destination of [`cvt`]: a conversion carries one significand of at most
 //! 53 bits and never multiplies, so the headroom argument does not apply.
@@ -355,12 +384,146 @@ fn round_pack_k<const E: u32, const M: u32>(
 }
 
 // ---------------------------------------------------------------------------
+// Host-binary64 tier (add/sub/mul/fma; see module docs)
+// ---------------------------------------------------------------------------
+
+/// `2^k` as a binary64, for `k` in the normal exponent range.
+#[inline(always)]
+fn pow2(k: i32) -> f64 {
+    f64::from_bits(((k + 1023) as u64) << 52)
+}
+
+/// The exact binary64 value of a finite `<E, M>` encoding, or `None` when
+/// the exponent field is all ones (infinity or NaN).
+#[inline(always)]
+fn to_host<const E: u32, const M: u32>(bits: u64) -> Option<f64> {
+    const { assert!(E <= 8 && M <= 23, "host tier needs exact products") };
+    let bits = bits & mask::<E, M>();
+    let exp_field = (bits >> M) & exp_field_max::<E>();
+    let man_field = bits & man_mask::<M>();
+    let sign = (bits >> (E + M)) << 63;
+    if exp_field == exp_field_max::<E>() {
+        return None;
+    }
+    let mag = if exp_field == 0 {
+        // Subnormal or zero: `man * 2^(emin - M)`, one exact power-of-two
+        // scale (the product stays far above the binary64 subnormal range).
+        (man_field as f64 * pow2(emin::<E>() - M as i32)).to_bits()
+    } else {
+        let rebias = (1023 - bias::<E>()) as u64;
+        ((exp_field + rebias) << 52) | (man_field << (52 - M))
+    };
+    Some(f64::from_bits(sign | mag))
+}
+
+/// Error term of the binary64 sum `s = a + b` (Knuth's TwoSum): the exact
+/// `a + b` equals `s + err`. Needs round-to-nearest-even binary64 and no
+/// overflow, both of which hold for the operands this tier builds.
+#[inline(always)]
+fn two_sum_err(a: f64, b: f64, s: f64) -> f64 {
+    let bv = s - a;
+    let av = s - bv;
+    (a - av) + (b - bv)
+}
+
+/// Round the exact value `s + err()` into a normal `<E, M>` result.
+///
+/// `s` is a binary64 and `err()` the exact error left over from computing it
+/// (`|err| <= ulp(s)/2`); `err` is evaluated only when the dropped bits of `s`
+/// sit exactly on a target grid point or midpoint, the only places its sign
+/// can change the rounding. `None` defers to the integer kernels: a zero `s`
+/// (its sign depends on the mode), a result that is subnormal or overflows
+/// in the target, and an exact value just below the grid point `s` in
+/// magnitude (directed rounding would need the predecessor encoding, which
+/// may be subnormal).
+#[inline(always)]
+fn host_round<const E: u32, const M: u32>(
+    s: f64,
+    err: impl FnOnce() -> f64,
+    rm: Rounding,
+    flags: &mut Flags,
+) -> Option<u64> {
+    let sb = s.to_bits();
+    let sign = sb >> 63 != 0;
+    let mag = sb & !(1u64 << 63);
+    if mag == 0 {
+        return None;
+    }
+    let drop = 52 - M;
+    let half = 1u64 << (drop - 1);
+    let mut rem = mag & ((1u64 << drop) - 1);
+    // Truncated target encoding: binary64 exponent re-biased to `E`; wraps
+    // to a huge value when `s` lies below the target's normal range.
+    let trunc = (mag >> drop).wrapping_sub(((1023 - bias::<E>()) as u64) << M);
+    if rem == 0 || rem == half {
+        let e = err();
+        if e != 0.0 {
+            let away = e.is_sign_negative() == sign;
+            // Stand-in remainders on the same side of the grid point or
+            // midpoint as the exact value.
+            if rem == 0 {
+                if !away {
+                    return None;
+                }
+                rem = 1;
+            } else {
+                rem = if away { half + 1 } else { half - 1 };
+            }
+        }
+    }
+    let r = trunc.wrapping_add(u64::from(round_increment(
+        rm,
+        sign,
+        rem,
+        half,
+        trunc & 1 == 1,
+    )));
+    // Normal after rounding: exponent field in [1, max - 1].
+    if r.wrapping_sub(1u64 << M) >= (exp_field_max::<E>() - 1) << M {
+        return None;
+    }
+    if rem != 0 {
+        flags.set(Flags::NX);
+    }
+    Some(if sign { r | sign_bit::<E, M>() } else { r })
+}
+
+/// Host tier of `a + b`: the binary64 sum plus its TwoSum error.
+#[inline(always)]
+fn add_host<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> Option<u64> {
+    let (x, y) = (to_host::<E, M>(a)?, to_host::<E, M>(b)?);
+    let s = x + y;
+    host_round::<E, M>(s, || two_sum_err(x, y, s), env.rm, &mut env.flags)
+}
+
+/// Host tier of `a * b`: two significands of at most 24 bits multiply
+/// exactly in binary64, so the product carries no error term.
+#[inline(always)]
+fn mul_host<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> Option<u64> {
+    let (x, y) = (to_host::<E, M>(a)?, to_host::<E, M>(b)?);
+    host_round::<E, M>(x * y, || 0.0, env.rm, &mut env.flags)
+}
+
+/// Host tier of fused `a * b + c`: the exact product, one binary64 sum and
+/// its TwoSum error.
+#[inline(always)]
+fn fma_host<const E: u32, const M: u32>(a: u64, b: u64, c: u64, env: &mut Env) -> Option<u64> {
+    let p = to_host::<E, M>(a)? * to_host::<E, M>(b)?;
+    let z = to_host::<E, M>(c)?;
+    let s = p + z;
+    host_round::<E, M>(s, || two_sum_err(p, z, s), env.rm, &mut env.flags)
+}
+
+// ---------------------------------------------------------------------------
 // Addition / subtraction
 // ---------------------------------------------------------------------------
 
 /// Monomorphized `a + b`.
 #[inline]
 pub(crate) fn add<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
+    if let Some(r) = add_host::<E, M>(a, b, env) {
+        return r;
+    }
     let ua = unpack_k::<E, M>(a);
     let ub = unpack_k::<E, M>(b);
     if ua.is_nan() || ub.is_nan() {
@@ -432,6 +595,9 @@ fn add_finite_k<const E: u32, const M: u32>(ua: &Un, ub: &Un, env: &mut Env) -> 
 /// Monomorphized `a * b`.
 #[inline]
 pub(crate) fn mul<const E: u32, const M: u32>(a: u64, b: u64, env: &mut Env) -> u64 {
+    if let Some(r) = mul_host::<E, M>(a, b, env) {
+        return r;
+    }
     let ua = unpack_k::<E, M>(a);
     let ub = unpack_k::<E, M>(b);
     let sign = ua.sign ^ ub.sign;
@@ -565,10 +731,14 @@ fn align64(m: u64, e: i32, e_t: i32) -> u64 {
 
 /// Monomorphized fused `a * b + c` with a single rounding.
 ///
-/// binary8 (`<5, 2>`) instantiations take the fixed-point fast path of
-/// [`fma_b8`]; the check is on const parameters, so it folds away.
+/// The host-binary64 tier goes first; when it defers, binary8 (`<5, 2>`)
+/// instantiations take the fixed-point path of [`fma_b8`] (the check is on
+/// const parameters, so it folds away) and the rest [`fma_core`].
 #[inline]
 pub(crate) fn fma<const E: u32, const M: u32>(a: u64, b: u64, c: u64, env: &mut Env) -> u64 {
+    if let Some(r) = fma_host::<E, M>(a, b, c, env) {
+        return r;
+    }
     if E == 5 && M == 2 {
         return fma_b8(a, b, c, env);
     }

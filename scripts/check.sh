@@ -28,8 +28,8 @@ cargo test -q
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run
 
-echo "==> binary8 + binary8alt (E4M3) exhaustive differential suites + sampled 16/32-bit and host-f64 boundary suite (release)"
-cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_sampled
+echo "==> binary8 + binary8alt (E4M3) exhaustive differential suites + sampled 16/32-bit and host-f64 boundary suite + host-binary64 tier boundary cases + batch lane helpers (release)"
+cargo test --release -q -p smallfloat-softfp --test fastpath_b8_exhaustive --test fastpath_b8alt_exhaustive --test fastpath_sampled --test fastpath_boundary --test batch_lanes_sampled
 
 echo "==> isa/asm round-trip property suites (.ab mnemonics, vfsdotpex, alt-bank edges)"
 cargo test --release -q -p smallfloat-isa --test roundtrip

@@ -10,6 +10,11 @@
 # machine code it hit, so a function that shows up here is a real call that
 # was not inlined. Defaults: seed 1, 10 s, top 30 functions.
 #
+# Rows are keyed by the mangled symbol, so each monomorphized instantiation
+# of a generic function (e.g. `kernels::fma` once per float format) gets a
+# row of its own; the label is the demangled path followed by the first
+# seven hex digits of the symbol's hash, which tells instantiations apart.
+#
 # Only symbol tables are read (the release profile carries no debug info),
 # so code inlined into a caller is charged to that caller, and samples in a
 # stripped shared library (libc's memcpy family) carry the nearest name
@@ -143,13 +148,17 @@ symbolized=$out/$workload-seed$seed.symbolized
 cut -f1 "$samples" | sort -u | while read -r file; do
     awk -F'\t' -v f="$file" '$1 == f { print $2 }' "$samples" | sort | uniq -c > "$out/addrs"
     if [[ -r "$file" ]]; then
-        awk '{ print "0x" $2 }' "$out/addrs" | addr2line -f -C -e "$file" |
+        awk '{ print "0x" $2 }' "$out/addrs" | addr2line -f -e "$file" |
             awk 'NR % 2 == 1' > "$out/funcs"
     else
         awk '{ print "??" }' "$out/addrs" > "$out/funcs"
     fi
     paste -d'\t' <(awk '{ print $1 }' "$out/addrs") "$out/funcs" |
-        awk -F'\t' -v m="${file##*/}" '{ fn = ($2 == "??") ? m ":??" : $2; print $1 "\t" fn }' >> "$symbolized"
+        awk -F'\t' -v m="${file##*/}" '{
+            fn = ($2 == "??") ? m ":??" : $2
+            sub(/\.llvm\.[0-9]+$/, "", fn) # a local promoted across codegen units
+            print $1 "\t" fn
+        }' >> "$symbolized"
 done
 rm -f "$out/addrs" "$out/funcs"
 
@@ -158,5 +167,12 @@ echo
 echo "flat profile: $workload seed $seed, $seconds s, $total samples (1 ms of CPU time each)"
 printf '%8s %7s  %s\n' samples share function
 awk -F'\t' '{ c[$2] += $1 } END { for (f in c) print c[f] "\t" f }' "$symbolized" |
-    sort -t$'\t' -k1,1nr | head -n "$top" |
-    awk -F'\t' -v t="$total" '{ printf "%8d %6.1f%%  %s\n", $1, 100 * $1 / t, $2 }'
+    sort -t$'\t' -k1,1nr | awk -v n="$top" 'NR <= n' > "$out/top"
+# Label each row with the demangled path (any `::h<hash>` tail that
+# c++filt keeps removed) and the short hash of the Rust legacy mangling,
+# `17h<16 hex digits>E`; other symbols get no suffix.
+cut -f2 "$out/top" | c++filt | sed -E 's/::h[0-9a-f]{16}$//' > "$out/names"
+cut -f2 "$out/top" | sed -E 's/.*17h([0-9a-f]{7})[0-9a-f]{9}E.*/ [\1]/; t; s/.*//' > "$out/hashes"
+paste -d'\t' <(cut -f1 "$out/top") "$out/names" "$out/hashes" |
+    awk -F'\t' -v t="$total" '{ printf "%8d %6.1f%%  %s%s\n", $1, 100 * $1 / t, $2, $3 }'
+rm -f "$out/top" "$out/names" "$out/hashes"
